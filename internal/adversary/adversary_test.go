@@ -82,7 +82,7 @@ func TestOversellBrokerDoubleSellRejectedAtRedeem(t *testing.T) {
 		t.Fatal("double-sell did not re-use the same ticket")
 	}
 	// Both tickets verify — the fraud is invisible cryptographically.
-	if err := sold2[0].Verify(f.auth.Key(), time.Minute); err != nil {
+	if err := sold2[0].Verify(f.auth.Key(), time.Minute, nil); err != nil {
 		t.Fatalf("double-sold ticket fails verify: %v", err)
 	}
 	// First redeem wins; the second is caught by the replay cache.
@@ -120,22 +120,22 @@ func TestForgeriesRejectedTyped(t *testing.T) {
 	legit := f.buyDirect(t, 1, 0, hour)
 	now := time.Minute
 
-	if err := TamperAmount(legit, 3).Verify(f.auth.Key(), now); !errors.Is(err, sharp.ErrBadSignature) {
+	if err := TamperAmount(legit, 3).Verify(f.auth.Key(), now, nil); !errors.Is(err, sharp.ErrBadSignature) {
 		t.Fatalf("tampered amount = %v; want ErrBadSignature", err)
 	}
 	forged := SelfIssuedRoot(f.attacker, "A", capability.CPU, 5, 0, hour, 99)
-	if err := forged.Verify(f.auth.Key(), now); !errors.Is(err, sharp.ErrBadChain) {
+	if err := forged.Verify(f.auth.Key(), now, nil); !errors.Is(err, sharp.ErrBadChain) {
 		t.Fatalf("self-issued root = %v; want ErrBadChain", err)
 	}
 	donor := f.buyDirect(t, 1, 0, hour)
-	if err := SpliceChains(legit, donor).Verify(f.auth.Key(), now); !errors.Is(err, sharp.ErrBadChain) {
+	if err := SpliceChains(legit, donor).Verify(f.auth.Key(), now, nil); !errors.Is(err, sharp.ErrBadChain) {
 		t.Fatalf("spliced chain = %v; want ErrBadChain", err)
 	}
 	// The widened delegation is validly signed by the rightful leaf
 	// holder — only the narrowing rule can reject it. This also pins
 	// claimTBS against sharp's encoding: drift would surface here as
 	// ErrBadSignature.
-	if err := WidenDelegation(legit, f.attacker, 4, 100).Verify(f.auth.Key(), now); !errors.Is(err, sharp.ErrAmountWidened) {
+	if err := WidenDelegation(legit, f.attacker, 4, 100).Verify(f.auth.Key(), now, nil); !errors.Is(err, sharp.ErrAmountWidened) {
 		t.Fatalf("widened delegation = %v; want ErrAmountWidened", err)
 	}
 	// Redeem applies the same verification.

@@ -198,6 +198,11 @@ type Federation struct {
 
 	Sites []*Site
 
+	// Verifier is the one chain verifier every gatekeeper's GSI policy
+	// shares, so a proxy chain costs its signature checks once per run
+	// rather than once per submit.
+	Verifier *identity.Verifier
+
 	// VO-level services.
 	IndexHost string
 	Index     *mds.GIIS
@@ -292,7 +297,7 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 		}
 	}
 
-	verifier := identity.NewVerifier(f.CA)
+	f.Verifier = identity.NewVerifier(f.CA)
 	var pushers []*mds.GRIS
 	for _, spec := range specs {
 		site := &Site{Spec: spec, Host: "gk-" + spec.Name}
@@ -320,7 +325,7 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 				site.Gridmap.UseWhitelist = true
 			}
 			policy := &gsi.SitePolicy{
-				Auth:    &gsi.ChainAuthenticator{Verifier: verifier},
+				Auth:    &gsi.ChainAuthenticator{Verifier: f.Verifier},
 				Gridmap: site.Gridmap,
 			}
 			site.Gatekeeper = gram.NewGatekeeper(net, net.Host(site.Host), policy)

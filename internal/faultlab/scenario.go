@@ -111,6 +111,11 @@ type Report struct {
 	// Byzantine carries the adversarial-market outcome when
 	// ChaosConfig.Byzantine was enabled (nil otherwise).
 	Byzantine *ByzantineStats
+	// ChainVerifies counts the ed25519 verifications gatekeeper chain
+	// validation paid from build to the end of the run: the misses of the
+	// federation Verifier's signature memo. It is a deterministic work
+	// count and is not rendered into Summary.
+	ChainVerifies int
 }
 
 // ResilienceStats snapshots the resilience kit's counters after a run.
@@ -502,12 +507,13 @@ func (c *chaosRun) finish() *Report {
 		// Copied, not aliased: a later Fork rewinds c.violations to a
 		// shorter prefix of the same backing array, and the next
 		// timeline's appends would otherwise scribble over this report.
-		Violations:   append([]Violation(nil), c.violations...),
-		Summary:      tbl.String(),
-		Tracer:       f.Tracer,
-		Availability: availability,
-		LeaseLapses:  c.mgr.LeaseLapsedN,
-		Flags:        reproFlags(c.cfg),
+		Violations:    append([]Violation(nil), c.violations...),
+		Summary:       tbl.String(),
+		Tracer:        f.Tracer,
+		Availability:  availability,
+		LeaseLapses:   c.mgr.LeaseLapsedN,
+		Flags:         reproFlags(c.cfg),
+		ChainVerifies: f.Verifier.Sigs().Misses,
 	}
 	if f.Resilience != nil {
 		rep.Resilience = &ResilienceStats{

@@ -183,7 +183,13 @@ func (p *SitePolicy) AdmitWithAssertion(cred *identity.Credential, a *Assertion,
 	if !ok {
 		return "", subject, fmt.Errorf("%w: untrusted community %q", ErrBadAssertion, a.Community)
 	}
-	if err := VerifyAssertion(a, key, now); err != nil {
+	// The assertion verifies through the chain verifier's memo, when the
+	// site has one, so CAS and proxy checks share one plane.
+	var sigs *identity.SigCache
+	if ca, ok := p.Auth.(*ChainAuthenticator); ok {
+		sigs = ca.Verifier.Sigs()
+	}
+	if err := VerifyAssertion(a, key, now, sigs); err != nil {
 		return "", subject, err
 	}
 	if a.Subject != subject {
@@ -301,11 +307,13 @@ func (c *CAS) Issue(subject, action, resource string, notAfter time.Duration) (*
 }
 
 // VerifyAssertion checks an assertion against the CAS key and the clock.
-func VerifyAssertion(a *Assertion, casKey *identity.Principal, now time.Duration) error {
+// The signature resolves through sigs (nil verifies directly); the
+// expiry check runs on every call.
+func VerifyAssertion(a *Assertion, casKey *identity.Principal, now time.Duration, sigs *identity.SigCache) error {
 	if now >= a.NotAfter {
 		return ErrAssertionExpired
 	}
-	if !casKey.Verify(a.tbs(), a.Signature) {
+	if !sigs.Verify(casKey.Public(), a.tbs(), a.Signature) {
 		return ErrBadAssertion
 	}
 	return nil

@@ -184,10 +184,10 @@ func TestCASIssueAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAssertion(a, cas.Signer(), hour); err != nil {
+	if err := VerifyAssertion(a, cas.Signer(), hour, nil); err != nil {
 		t.Errorf("verify: %v", err)
 	}
-	if err := VerifyAssertion(a, cas.Signer(), 10*hour); !errors.Is(err, ErrAssertionExpired) {
+	if err := VerifyAssertion(a, cas.Signer(), 10*hour, nil); !errors.Is(err, ErrAssertionExpired) {
 		t.Errorf("expired: %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestCASAssertionTamperDetected(t *testing.T) {
 	cas.Grant("read", "r")
 	a, _ := cas.Issue("alice", "read", "r", 10*hour)
 	a.Subject = "mallory"
-	if err := VerifyAssertion(a, cas.Signer(), hour); !errors.Is(err, ErrBadAssertion) {
+	if err := VerifyAssertion(a, cas.Signer(), hour, nil); !errors.Is(err, ErrBadAssertion) {
 		t.Errorf("tampered assertion: %v", err)
 	}
 }
@@ -284,5 +284,69 @@ func TestAdmitWithAssertionRejections(t *testing.T) {
 	pol.Gridmap.Blacklist("alice")
 	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "r1", hour); !errors.Is(err, ErrBlacklisted) {
 		t.Errorf("blacklisted: %v", err)
+	}
+}
+
+// TestAssertionMemoSafety presents tampered and expired twins of an
+// assertion after the genuine one verified through the same signature
+// memo: the memo may skip re-proving the genuine signature, but never
+// vouches for altered content or outlives NotAfter.
+func TestAssertionMemoSafety(t *testing.T) {
+	f := newFixture()
+	cas := NewCAS("vo", f.rng)
+	cas.AddMember("alice")
+	cas.Grant("read", "r1")
+	a, err := cas.Issue("alice", "read", "r1", 10*hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &SitePolicy{
+		Auth:       f.auth,
+		Gridmap:    NewGridmap(),
+		TrustedCAS: map[string]*identity.Principal{"vo": cas.Signer()},
+	}
+	sigs := f.auth.Verifier.Sigs()
+	for i := 0; i < 2; i++ {
+		if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "r1", hour); err != nil {
+			t.Fatalf("genuine assertion: %v", err)
+		}
+	}
+	if sigs.Hits == 0 {
+		t.Fatal("second admission did not hit the memo")
+	}
+
+	tampers := []struct {
+		field  string
+		tamper func(x *Assertion)
+	}{
+		{"Community", func(x *Assertion) { x.Community = "vo2" }},
+		{"Subject", func(x *Assertion) { x.Subject = "mallory" }},
+		{"Action", func(x *Assertion) { x.Action = "write" }},
+		{"Resource", func(x *Assertion) { x.Resource = "r2" }},
+		{"NotAfter", func(x *Assertion) { x.NotAfter += 100 * hour }},
+		{"Signature", func(x *Assertion) {
+			x.Signature = append([]byte(nil), a.Signature...)
+			x.Signature[0] ^= 1
+		}},
+	}
+	for _, tc := range tampers {
+		twin := *a
+		tc.tamper(&twin)
+		if err := VerifyAssertion(&twin, cas.Signer(), hour, sigs); !errors.Is(err, ErrBadAssertion) {
+			t.Errorf("tampered %s after genuine verified: %v, want ErrBadAssertion", tc.field, err)
+		}
+	}
+	// Extending NotAfter is the tamper that would otherwise pass every
+	// other admission check.
+	extended := *a
+	extended.NotAfter += 100 * hour
+	if _, _, err := pol.AdmitWithAssertion(f.alice, &extended, "read", "r1", 11*hour); !errors.Is(err, ErrBadAssertion) {
+		t.Errorf("extended assertion: %v, want ErrBadAssertion", err)
+	}
+	if err := VerifyAssertion(a, cas.Signer(), 10*hour, sigs); !errors.Is(err, ErrAssertionExpired) {
+		t.Errorf("cached assertion at NotAfter: %v, want ErrAssertionExpired", err)
+	}
+	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "r1", 11*hour); !errors.Is(err, ErrAssertionExpired) {
+		t.Errorf("cached assertion past NotAfter: %v, want ErrAssertionExpired", err)
 	}
 }

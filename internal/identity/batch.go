@@ -32,15 +32,11 @@ import (
 func sigDigest(pub ed25519.PublicKey, msg, sig []byte) [32]byte {
 	h := sha256.New()
 	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(pub)))
-	h.Write(n[:])
-	h.Write(pub)
-	binary.BigEndian.PutUint32(n[:], uint32(len(msg)))
-	h.Write(n[:])
-	h.Write(msg)
-	binary.BigEndian.PutUint32(n[:], uint32(len(sig)))
-	h.Write(n[:])
-	h.Write(sig)
+	for _, part := range [...][]byte{pub, msg, sig} {
+		binary.BigEndian.PutUint32(n[:], uint32(len(part)))
+		h.Write(n[:])
+		h.Write(part)
+	}
 	var d [32]byte
 	h.Sum(d[:0])
 	return d
@@ -75,41 +71,42 @@ func NewSigCache(capN int) *SigCache {
 // Len reports how many verified triples are memoized.
 func (c *SigCache) Len() int { return len(c.entries) }
 
-// seen reports whether the digest is memoized as verified.
-func (c *SigCache) seen(d [32]byte) bool {
-	_, ok := c.entries[d]
-	if ok {
-		c.Hits++
-	} else {
+// check answers one signature triple whose memo digest is d: from the
+// memo when it holds d, else by ed25519.Verify, memoizing success (the
+// whole generation is cleared first when at capacity). paid reports
+// whether the scalar math ran; a nil cache always pays and memoizes
+// nothing.
+func (c *SigCache) check(d [32]byte, pub ed25519.PublicKey, msg, sig []byte) (ok, paid bool) {
+	if c != nil {
+		if _, hit := c.entries[d]; hit {
+			c.Hits++
+			return true, false
+		}
 		c.Misses++
 	}
-	return ok
-}
-
-// addVerified memoizes a digest that just verified, clearing the
-// generation first when at capacity.
-func (c *SigCache) addVerified(d [32]byte) {
-	if len(c.entries) >= c.capN {
-		for k := range c.entries {
-			delete(c.entries, k)
-		}
-		c.Evictions++
-	}
-	c.entries[d] = struct{}{}
-}
-
-// Verify is the memoized form of ed25519.Verify: a cache hit skips the
-// scalar math, a miss runs it and memoizes success.
-func (c *SigCache) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	d := sigDigest(pub, msg, sig)
-	if c.seen(d) {
-		return true
-	}
 	if !ed25519.Verify(pub, msg, sig) {
-		return false
+		return false, true
 	}
-	c.addVerified(d)
-	return true
+	if c != nil {
+		if len(c.entries) >= c.capN {
+			clear(c.entries)
+			c.Evictions++
+		}
+		c.entries[d] = struct{}{}
+	}
+	return true, true
+}
+
+// Verify is the memoized form of ed25519.Verify and the one signature
+// primitive every chain, ticket and assertion check goes through: a cache
+// hit skips the scalar math, a miss runs it and memoizes success. A nil
+// cache verifies directly.
+func (c *SigCache) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if c == nil {
+		return ed25519.Verify(pub, msg, sig)
+	}
+	ok, _ := c.check(sigDigest(pub, msg, sig), pub, msg, sig)
+	return ok
 }
 
 // Batch collects signature checks and resolves them in one pass,
@@ -127,8 +124,6 @@ type Batch struct {
 	index map[[32]byte]int32
 	// refs maps each Add'd item to its distinct position.
 	refs []int32
-	// ok holds per-distinct verdicts after Run.
-	ok []bool
 
 	// VerifiedN counts actual ed25519.Verify calls in the last Run —
 	// the deterministic evidence the amortization gates assert on.
@@ -168,33 +163,18 @@ func (b *Batch) Distinct() int { return len(b.dig) }
 // cache or by one ed25519.Verify (successes memoized). Returns the
 // per-item verdicts, aligned with Add order.
 func (b *Batch) Run() []bool {
-	b.ok = make([]bool, len(b.dig))
+	ok := make([]bool, len(b.dig))
 	b.VerifiedN = 0
-	for i := range b.dig {
-		if b.cache != nil && b.cache.seen(b.dig[i]) {
-			b.ok[i] = true
-			continue
-		}
-		b.VerifiedN++
-		if ed25519.Verify(ed25519.PublicKey(b.keys[i]), b.msgs[i], b.sigs[i]) {
-			b.ok[i] = true
-			if b.cache != nil {
-				b.cache.addVerified(b.dig[i])
-			}
+	for i, d := range b.dig {
+		var paid bool
+		ok[i], paid = b.cache.check(d, b.keys[i], b.msgs[i], b.sigs[i])
+		if paid {
+			b.VerifiedN++
 		}
 	}
 	out := make([]bool, len(b.refs))
 	for i, pos := range b.refs {
-		out[i] = b.ok[pos]
-	}
-	return out
-}
-
-// Results re-reads the last Run's verdicts without re-resolving.
-func (b *Batch) Results() []bool {
-	out := make([]bool, len(b.refs))
-	for i, pos := range b.refs {
-		out[i] = b.ok[pos]
+		out[i] = ok[pos]
 	}
 	return out
 }
@@ -207,8 +187,5 @@ func (b *Batch) Reset() {
 	b.sigs = b.sigs[:0]
 	b.dig = b.dig[:0]
 	b.refs = b.refs[:0]
-	b.ok = nil
-	for k := range b.index {
-		delete(b.index, k)
-	}
+	clear(b.index)
 }

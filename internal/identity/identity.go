@@ -90,22 +90,17 @@ type Certificate struct {
 // tbs returns the canonical to-be-signed encoding of the certificate.
 // A hand-rolled deterministic encoding avoids JSON map-order pitfalls.
 func (c *Certificate) tbs() []byte {
-	var buf bytes.Buffer
+	b := make([]byte, 0, 128)
 	writeStr := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		buf.Write(n[:])
-		buf.WriteString(s)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
 	}
 	writeStr(c.Subject)
-	buf.Write(c.SubjectKey)
+	b = append(b, c.SubjectKey...)
 	writeStr(c.Issuer)
-	buf.Write(c.IssuerKey)
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotBefore))
-	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotAfter))
-	buf.Write(t[:])
+	b = append(b, c.IssuerKey...)
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotBefore))
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotAfter))
 	flags := byte(0)
 	if c.IsCA {
 		flags |= 1
@@ -116,25 +111,17 @@ func (c *Certificate) tbs() []byte {
 	if c.Rights != nil {
 		flags |= 4
 	}
-	buf.WriteByte(flags)
+	b = append(b, flags)
 	rights := append([]string(nil), c.Rights...)
 	sort.Strings(rights)
 	for _, r := range rights {
 		writeStr(r)
 	}
-	binary.BigEndian.PutUint64(t[:], c.Serial)
-	buf.Write(t[:])
-	return buf.Bytes()
+	return binary.BigEndian.AppendUint64(b, c.Serial)
 }
 
 // Fingerprint returns a stable 20-byte digest identifying the certificate.
 func (c *Certificate) Fingerprint() [20]byte { return sha1.Sum(c.tbs()) }
-
-// VerifySignature checks the certificate's signature against its embedded
-// issuer key (chain trust is established separately by Verifier.Validate).
-func (c *Certificate) VerifySignature() bool {
-	return ed25519.Verify(c.IssuerKey, c.tbs(), c.Signature)
-}
 
 // ValidAt reports whether the validity interval covers t.
 func (c *Certificate) ValidAt(t time.Duration) bool {
@@ -305,17 +292,24 @@ func (cr *Credential) Delegate(name string, now, lifetime time.Duration, rights 
 }
 
 // Verifier validates chains against a set of trusted roots and a
-// revocation list.
+// revocation list. Link signatures resolve through the verifier's
+// SigCache, so a chain presented again (every GRAM submit of one proxy)
+// costs its ed25519 checks once; every other check runs on every call.
+// Like the simulation engine, a Verifier is used by one goroutine at a
+// time: Validate writes the memo.
 type Verifier struct {
 	roots   map[string]ed25519.PublicKey
 	revoked map[[20]byte]bool
+	sigs    *SigCache
 }
 
-// NewVerifier returns a verifier trusting the given CAs.
+// NewVerifier returns a verifier trusting the given CAs, with a
+// DefaultSigCacheCap signature memo.
 func NewVerifier(roots ...*CA) *Verifier {
 	v := &Verifier{
 		roots:   make(map[string]ed25519.PublicKey, len(roots)),
 		revoked: make(map[[20]byte]bool),
+		sigs:    NewSigCache(DefaultSigCacheCap),
 	}
 	for _, ca := range roots {
 		v.roots[ca.Name] = ca.Public()
@@ -323,16 +317,19 @@ func NewVerifier(roots ...*CA) *Verifier {
 	return v
 }
 
-// AddRoot trusts an additional CA root.
-func (v *Verifier) AddRoot(ca *CA) { v.roots[ca.Name] = ca.Public() }
-
 // Revoke adds a certificate to the revocation list.
 func (v *Verifier) Revoke(c *Certificate) { v.revoked[c.Fingerprint()] = true }
+
+// Sigs returns the verifier's signature memo; its Misses count the
+// ed25519.Verify calls validation actually paid.
+func (v *Verifier) Sigs() *SigCache { return v.sigs }
 
 // Validate checks a credential chain at virtual time now: every link's
 // signature, validity window, revocation status, issuer/subject
 // continuity, proxy marking, and termination at a trusted root. On success
-// it returns the authenticated original subject name.
+// it returns the authenticated original subject name. Only the signature
+// check is memoized; each link's encoding is built once and feeds both
+// the revocation fingerprint and the memo digest.
 func (v *Verifier) Validate(cr *Credential, now time.Duration) (subject string, err error) {
 	if cr == nil || len(cr.Chain) == 0 {
 		return "", ErrEmptyChain
@@ -346,13 +343,14 @@ func (v *Verifier) Validate(cr *Credential, now time.Duration) (subject string, 
 		return "", fmt.Errorf("%w: holder key does not match leaf", ErrBadSignature)
 	}
 	for i, c := range cr.Chain {
-		if v.revoked[c.Fingerprint()] {
+		tbs := c.tbs()
+		if v.revoked[sha1.Sum(tbs)] {
 			return "", ErrRevoked
 		}
 		if !c.ValidAt(now) {
 			return "", fmt.Errorf("%w: %q [%v,%v) at %v", ErrExpired, c.Subject, c.NotBefore, c.NotAfter, now)
 		}
-		if !c.VerifySignature() {
+		if !v.sigs.Verify(c.IssuerKey, tbs, c.Signature) {
 			return "", fmt.Errorf("%w: %q", ErrBadSignature, c.Subject)
 		}
 		last := i == len(cr.Chain)-1

@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"math/rand"
 	"testing"
@@ -308,6 +309,13 @@ func TestRightsMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// VerifySignature is the uncached reference: it checks one certificate's
+// signature against its embedded issuer key with a direct ed25519.Verify,
+// bypassing every memo. Tests use it as the oracle for Validate.
+func (c *Certificate) VerifySignature() bool {
+	return ed25519.Verify(c.IssuerKey, c.tbs(), c.Signature)
 }
 
 func TestVerifySignatureDirect(t *testing.T) {

@@ -48,11 +48,11 @@ var errdropTargets = map[string]bool{
 	// Scale-era hot paths: a RegisterRecord whose error vanishes is a
 	// sensor the index silently never learned about; a dropped
 	// QueryShards error hides ErrNoRegions behind an empty result; and a
-	// discarded VerifyCached result is an unverified delegation chain
-	// treated as verified.
+	// discarded Verify result is an unverified delegation chain treated
+	// as verified.
 	"RegisterRecord": true,
 	"QueryShards":    true,
-	"VerifyCached":   true,
+	"Verify":         true,
 }
 
 func runErrdrop(pass *Pass) {

@@ -74,14 +74,14 @@ func (index) QueryShards(q string) (string, error) {
 
 type ticket struct{}
 
-func (ticket) VerifyCached(key, cache string) error { return errors.New("bad chain") }
+func (ticket) Verify(key string, now int, cache *string) error { return errors.New("bad chain") }
 
 func BadScale(ix index, tk ticket) {
 	ix.RegisterRecord("node-1")          // want "error returned by RegisterRecord is dropped"
 	reply, _ := ix.QueryShards("os=lin") // want "error from QueryShards discarded via blank identifier"
 	_ = reply
-	tk.VerifyCached("k", "c")    // want "error returned by VerifyCached is dropped"
-	go tk.VerifyCached("k", "c") // want "error returned by VerifyCached is dropped"
+	tk.Verify("k", 0, nil)    // want "error returned by Verify is dropped"
+	go tk.Verify("k", 0, nil) // want "error returned by Verify is dropped"
 }
 
 func GoodScale(ix index, tk ticket) error {
@@ -93,7 +93,7 @@ func GoodScale(ix index, tk ticket) error {
 	if err != nil {
 		return err
 	}
-	return tk.VerifyCached("k", "c")
+	return tk.Verify("k", 0, nil)
 }
 
 func Good(a authority) error {

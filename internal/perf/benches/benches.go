@@ -1,6 +1,7 @@
 // Package benches registers the concrete benchmark specs the repository
 // tracks for regressions: sim-kernel microbenchmarks (schedule/fire,
-// cancel churn, ticker steady state) and chaos-sweep macrobenchmarks.
+// cancel churn, ticker steady state), gatekeeper admission, and
+// chaos-sweep macrobenchmarks.
 // The same specs back the bench test files (go test -bench) and the
 // gridlab bench subcommand, so the committed BENCH_baseline.json and
 // ad-hoc test runs measure identical bodies.
@@ -228,7 +229,7 @@ func Sweep() []bench.Spec {
 
 // All returns the full registry the gridlab bench subcommand runs.
 func All() []bench.Spec {
-	return append(append(append(Kernel(), Fluid()...), Scale()...), Sweep()...)
+	return append(append(append(append(Kernel(), Fluid()...), Scale()...), GSI()...), Sweep()...)
 }
 
 func benchName(prefix string, n int) string {

@@ -69,7 +69,7 @@ func verifyChain() func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := t.Verify(key, 0); err != nil {
+			if err := t.Verify(key, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func verifyBatch64() func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cache := identity.NewSigCache(identity.DefaultSigCacheCap)
 			for _, t := range tickets {
-				if err := t.VerifyCached(key, 0, cache); err != nil {
+				if err := t.Verify(key, 0, cache); err != nil {
 					b.Fatal(err)
 				}
 			}

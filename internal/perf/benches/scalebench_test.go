@@ -21,6 +21,12 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
+func BenchmarkGSI(b *testing.B) {
+	for _, spec := range benches.GSI() {
+		b.Run(spec.Name, spec.Fn)
+	}
+}
+
 // TestBatchVerifySpeedup asserts the >=3x amortization gate using the
 // registry's own benchmark bodies, so CI enforces it without depending
 // on wall-clock baselines: it times one naive chain verify against the

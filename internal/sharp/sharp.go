@@ -199,22 +199,12 @@ func (t *Ticket) Root() *Claim {
 func (t *Ticket) Amount() float64 { return t.Leaf().Amount }
 
 // Verify checks the whole chain against the pinned authority key: every
-// signature, hash link, amount narrowing, and interval nesting.
-func (t *Ticket) Verify(authorityKey ed25519.PublicKey, now time.Duration) error {
-	return t.verify(authorityKey, now, func(c *Claim) bool {
-		return ed25519.Verify(c.IssuerKey, c.tbs(), c.Sig)
-	})
-}
-
-// VerifyCached is Verify with the signature checks memoized through a
-// SigCache: chains sharing already-verified links (the same stocked
-// ticket resold many times) skip the repeated ed25519 math. Results are
-// identical to Verify — the cache only ever skips re-proving triples
-// that already proved valid (see identity.SigCache).
-func (t *Ticket) VerifyCached(authorityKey ed25519.PublicKey, now time.Duration, cache *identity.SigCache) error {
-	if cache == nil {
-		return t.Verify(authorityKey, now)
-	}
+// signature, hash link, amount narrowing, and interval nesting. Signature
+// checks resolve through cache (see identity.SigCache), so chains sharing
+// already-verified links (the same stocked ticket resold many times) skip
+// the repeated ed25519 math; a nil cache verifies every link directly.
+// The verdict is the same either way.
+func (t *Ticket) Verify(authorityKey ed25519.PublicKey, now time.Duration, cache *identity.SigCache) error {
 	return t.verify(authorityKey, now, func(c *Claim) bool {
 		return cache.Verify(c.IssuerKey, c.tbs(), c.Sig)
 	})
@@ -776,7 +766,7 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 		if t.Root() != nil && t.Root().Site != a.Site {
 			return fail(ErrWrongSite)
 		}
-		if err := t.VerifyCached(a.signer.Public(), now, a.sigCache); err != nil {
+		if err := t.Verify(a.signer.Public(), now, a.sigCache); err != nil {
 			return fail(err)
 		}
 		leaf := t.Leaf()

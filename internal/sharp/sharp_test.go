@@ -45,7 +45,7 @@ func TestIssueVerifyRedeem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tk.Verify(f.auth.Key(), time.Minute); err != nil {
+	if err := tk.Verify(f.auth.Key(), time.Minute, nil); err != nil {
 		t.Fatal(err)
 	}
 	lease, err := f.auth.Redeem(tk)
@@ -327,7 +327,7 @@ func TestConservationProperty(t *testing.T) {
 				return false
 			}
 			for _, s := range subs {
-				if s.Verify(auth.Key(), 0) != nil {
+				if s.Verify(auth.Key(), 0, nil) != nil {
 					return false
 				}
 				lease, err := auth.Redeem(s)
@@ -357,7 +357,7 @@ func TestIssueRejectsBadRequests(t *testing.T) {
 func TestVerifyEmptyTicket(t *testing.T) {
 	f := newFixture(t)
 	empty := &Ticket{}
-	if err := empty.Verify(f.auth.Key(), 0); !errors.Is(err, ErrBadChain) {
+	if err := empty.Verify(f.auth.Key(), 0, nil); !errors.Is(err, ErrBadChain) {
 		t.Errorf("empty: %v", err)
 	}
 	if empty.Leaf() != nil || empty.Root() != nil {

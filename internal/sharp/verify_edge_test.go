@@ -32,7 +32,7 @@ func TestVerifyWindowEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tk.Verify(f.auth.Key(), tc.now)
+			err := tk.Verify(f.auth.Key(), tc.now, nil)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Verify(now=%v) = %v; want %v", tc.now, err, tc.wantErr)
 			}
@@ -107,7 +107,7 @@ func TestMultiHopWidenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ok.Verify(f.auth.Key(), time.Minute); err != nil {
+	if err := ok.Verify(f.auth.Key(), time.Minute, nil); err != nil {
 		t.Fatalf("honest 3-hop chain: %v", err)
 	}
 	// Delegate itself refuses to widen...
@@ -133,7 +133,7 @@ func TestMultiHopWidenRejected(t *testing.T) {
 	}
 	c.Sig = mid.Sign(c.tbs())
 	widened := &Ticket{Chain: append(append([]Claim(nil), hop1.Chain...), c)}
-	if err := widened.Verify(f.auth.Key(), time.Minute); !errors.Is(err, ErrAmountWidened) {
+	if err := widened.Verify(f.auth.Key(), time.Minute, nil); !errors.Is(err, ErrAmountWidened) {
 		t.Fatalf("widened 3-hop chain = %v; want ErrAmountWidened", err)
 	}
 	if _, err := f.auth.Redeem(widened); !errors.Is(err, ErrAmountWidened) {
